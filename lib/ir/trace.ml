@@ -2,7 +2,7 @@
 
     A trace is produced once per (workload, compile configuration) by the
     functional interpreter and then replayed by every timing configuration
-    — the trace/timing split that makes the ~1700 simulation points of the
+    — the trace/timing split that makes the 2,425 simulation points of the
     benchmark harness affordable (see DESIGN.md §5). *)
 
 type t = {

@@ -3,7 +3,7 @@
     A trace is produced once per (workload, compile configuration) by the
     functional interpreter and then replayed by every timing
     configuration — the trace/timing split that makes the benchmark
-    harness's ~1700 simulation points affordable (DESIGN.md §5). *)
+    harness's 2,425 simulation points affordable (DESIGN.md §5). *)
 
 type t
 

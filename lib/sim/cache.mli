@@ -1,7 +1,7 @@
 (** Set-associative write-back, write-allocate cache with LRU
-    replacement. Tag storage is a hash table keyed by set index, so a
-    multi-gigabyte direct-mapped DRAM cache costs memory proportional to
-    the sets actually touched. *)
+    replacement. Tag storage is paged: a page of sets is allocated on its
+    first probe, so creating even the 64MB direct-mapped DRAM cache costs
+    O(pages) and memory follows the sets actually touched. *)
 
 type t
 

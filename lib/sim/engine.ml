@@ -21,8 +21,8 @@
       level and hit a pending WPQ entry wait for the entry to drain.
 
     Performance shape (DESIGN.md §12): the replay loop runs once per
-    event across ~1700 simulation points, so this file keeps the per-
-    event path allocation-free. All hot floats live in [clocks] — a
+    event across the sweep's 2,425 simulation points, so this file keeps
+    the per-event path allocation-free. All hot floats live in [clocks] — a
     record whose fields are all float, which OCaml stores flat (a float
     field assignment in a mixed record allocates a box every time);
     per-address state is in [Imap]s (open addressing, unboxed float

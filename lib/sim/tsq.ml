@@ -10,9 +10,9 @@
     The record keeps every float in a flat [float array] ([fs]) rather
     than in mutable float fields: OCaml boxes each assignment to a float
     field of a mixed record, and [push_u] runs once per store event
-    across ~1700 simulation points. [push_u]/[admit]/[last_completion]
-    together are the allocation-free interface the engines use; [push]
-    is the tupled convenience wrapper. *)
+    across the sweep's 2,425 simulation points. [push_u]/[admit]/
+    [last_completion] together are the allocation-free interface the
+    engines use; [push] is the tupled convenience wrapper. *)
 
 type t = {
   size : int;

@@ -89,6 +89,112 @@ let test_cache_miss_rate () =
   ignore (Cache.access c ~addr:0 ~write:false);
   Alcotest.(check (float 1e-9)) "1 of 2" 0.5 (Cache.miss_rate c)
 
+(* Differential check of the paged tag store against a reference LRU
+   model: per-set lists of (line, dirty), most recent first. Both see
+   the same seeded stream of reads, writes and dirty installs; the hit
+   flag and dirty-eviction address must agree at every step. Most set
+   indices come from a small pool: the first, middle and last sets and
+   the sets either side of set [64 * k] for k a power of two, the last
+   such k and six random k — so the first and last page boundaries are
+   covered for any power-of-two page of >= 64 sets. Tags span assoc + 3
+   values per set, so pooled sets overflow and evict. *)
+let cache_differential (level : Config.cache_level) ~steps ~seed () =
+  let c = Cache.create level in
+  let nsets = max 1 (level.size_bytes / (Cache.line_bytes * level.assoc)) in
+  let assoc = level.assoc in
+  let model : (int, (int * bool) list) Hashtbl.t = Hashtbl.create 64 in
+  let hits = ref 0 and total = ref 0 and evictions = ref 0 in
+  let ref_probe line ~write =
+    let set = line mod nsets in
+    let ways = Option.value (Hashtbl.find_opt model set) ~default:[] in
+    let hit = List.mem_assoc line ways in
+    let dirty = write || (hit && List.assoc line ways) in
+    let rest = List.remove_assoc line ways in
+    let rest, evicted =
+      if hit || List.length rest < assoc then (rest, -1)
+      else
+        match List.rev rest with
+        | (l, d) :: older ->
+          (List.rev older, if d then l * Cache.line_bytes else -1)
+        | [] -> assert false
+    in
+    Hashtbl.replace model set ((line, dirty) :: rest);
+    incr total;
+    if hit then incr hits;
+    if evicted >= 0 then incr evictions;
+    (hit, evicted)
+  in
+  let rng = Random.State.make [| seed |] in
+  let nb = (nsets - 1) / 64 in
+  let boundaries =
+    if nb = 0 then []
+    else
+      List.concat_map
+        (fun k -> [ (64 * k) - 1; 64 * k ])
+        (List.filter (fun k -> k <= nb) (List.init 20 (fun i -> 1 lsl i))
+        @ (nb :: List.init 6 (fun _ -> 1 + Random.State.int rng nb)))
+  in
+  let pool = Array.of_list ([ 0; nsets - 1; nsets / 2 ] @ boundaries) in
+  for step = 1 to steps do
+    let set =
+      if Random.State.int rng 4 = 0 then Random.State.int rng nsets
+      else pool.(Random.State.int rng (Array.length pool))
+    in
+    let line = (Random.State.int rng (assoc + 3) * nsets) + set in
+    let addr = (line * Cache.line_bytes) + Random.State.int rng Cache.line_bytes in
+    let kind = Random.State.int rng 3 in
+    let write = kind > 0 in
+    let hit =
+      if kind = 2 then (
+        Cache.install_dirty c ~line_addr:(line * Cache.line_bytes);
+        None)
+      else Some (Cache.probe c ~addr ~write)
+    in
+    let ref_hit, ref_evict = ref_probe line ~write in
+    let what = Printf.sprintf "%s step %d" level.cname step in
+    Option.iter (Alcotest.(check bool) (what ^ " hit") ref_hit) hit;
+    Alcotest.(check int) (what ^ " dirty evict") ref_evict
+      (Cache.last_dirty_evict c)
+  done;
+  Alcotest.(check bool) "stream evicts dirty lines" true (!evictions > 0);
+  Alcotest.(check (float 1e-12)) "miss rate"
+    (float_of_int (!total - !hits) /. float_of_int !total)
+    (Cache.miss_rate c)
+
+let cache_differential_cases =
+  List.map
+    (fun ((level : Config.cache_level), seed) ->
+      Alcotest.test_case ("differential " ^ level.cname) `Quick
+        (cache_differential level ~steps:20_000 ~seed))
+    [
+      ({ cname = "1-set"; size_bytes = 64 * 4; assoc = 4; hit_ns = 1.0 }, 1);
+      (Config.l4, 2);
+      (Config.dram_cache, 3);
+      ({ cname = "3-set"; size_bytes = 3 * 64 * 2; assoc = 2; hit_ns = 1.0 }, 4);
+      ({ cname = "1000-set"; size_bytes = 1000 * 64 * 2; assoc = 2; hit_ns = 1.0 }, 5);
+    ]
+
+(* Creating a cache costs O(pages), not O(capacity): a default-platform
+   hierarchy (64MB direct-mapped DRAM cache = 1M ways) and the
+   multi-core engine's set-up stay far below the 16MB a preallocated
+   DRAM-cache tag store costs. *)
+let allocated_by f =
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.allocated_bytes () -. before
+
+let test_cache_creation_alloc () =
+  let mb = 1024.0 *. 1024.0 in
+  let h = allocated_by (fun () -> Hierarchy.create Config.default) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Hierarchy.create default: %.0f bytes < 1MB" h)
+    true (h < mb);
+  let traces = Array.init 4 (fun _ -> Trace.create ~capacity:1 ()) in
+  let mp = allocated_by (fun () -> Engine_mp.run_traces Config.default `Cwsp traces) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Engine_mp set-up (4 cores): %.0f bytes < 1MB" mp)
+    true (mp < mb)
+
 (* ---- Hierarchy ---- *)
 
 let test_hierarchy_levels () =
@@ -208,7 +314,9 @@ let () =
           Alcotest.test_case "dirty eviction" `Quick test_cache_dirty_eviction;
           Alcotest.test_case "lru" `Quick test_cache_lru;
           Alcotest.test_case "miss rate" `Quick test_cache_miss_rate;
-        ] );
+          Alcotest.test_case "creation allocation" `Quick test_cache_creation_alloc;
+        ]
+        @ cache_differential_cases );
       ("hierarchy", [ Alcotest.test_case "levels" `Quick test_hierarchy_levels ]);
       ( "engine",
         [
