@@ -361,7 +361,8 @@ let print_cache_summary () =
     (fun (name, (st : Cwsp_core.Store.stats), entries) ->
       Printf.eprintf " %s %d entries, %d hits, %d misses, %d races;" name
         entries st.hits st.misses st.races)
-    (Cwsp_core.Api.cache_stats ());
+    (let probes, entries = Cwsp_core.Api.probe_stats () in
+     Cwsp_core.Api.cache_stats () @ [ ("probes", probes, entries) ]);
   Printf.eprintf "\n";
   if Cwsp_util.Stats.Histogram.count wall_hist > 0 then
     Printf.eprintf "experiment wall: %s\n"

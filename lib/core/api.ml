@@ -2,18 +2,21 @@
     trace under any scheme/platform, and compare against the baseline.
 
     Compiled binaries and traces are memoized per (workload, scale,
-    compile config); timing statistics per (workload, scale, scheme,
+    compile config); probe streams ([Engine.record_probes]) per binary
+    and cache geometry; timing statistics per (workload, scale, scheme,
     platform fingerprint) — the platform key is a content hash of the
     full [Config.t] ([Config.fingerprint]), so two experiments can never
     alias a cache entry by reusing a label string for different
-    platforms.
+    platforms. The probe key holds only per-level sizes and
+    associativities, never level names, latencies or the fingerprint:
+    every platform of one geometry shares one stream.
 
-    All three caches are mutex-protected [Store.t]s, so any layer may be
+    All four caches are mutex-protected [Store.t]s, so any layer may be
     called from multiple domains; the executor ([Executor]) relies on
     this to replay jobs in parallel. Memoized values are shared
     read-only after insertion: a [Trace.t] is append-only and complete
-    when stored, and a [Stats.t] is only mutated by the engine run that
-    produces it. *)
+    when stored, a probe stream is immutable, and a [Stats.t] is only
+    mutated by the engine run that produces it. *)
 
 open Cwsp_interp
 open Cwsp_compiler
@@ -26,8 +29,12 @@ type binary_key = string * int * string
 (* (workload, scale, scheme name, platform fingerprint) *)
 type stats_key = string * int * string * string
 
+(* (binary, per-level (size_bytes, assoc)) *)
+type probe_key = binary_key * (int * int) list
+
 let compiled_cache : (binary_key, Pipeline.compiled) Store.t = Store.create 64
 let trace_cache : (binary_key, Trace.t) Store.t = Store.create 64
+let probe_cache : (probe_key, Engine.probes) Store.t = Store.create 64
 let stats_cache : (stats_key, Stats.t) Store.t = Store.create 256
 
 let binary_key ?(scale = 1) (w : Defs.t) (cc : Pipeline.config) : binary_key =
@@ -54,12 +61,25 @@ let trace ?(scale = 1) (w : Defs.t) (cc : Pipeline.config) : Trace.t =
       let c = compiled ~scale w cc in
       Oracle.trace_of_program ~label:w.name c.prog)
 
+(* [tr] is the binary's trace, already looked up by the caller. *)
+let probes_of_trace ~scale w cc (cfg : Config.t) tr =
+  Store.memo probe_cache (binary_key ~scale w cc, Engine.geometry cfg) (fun () ->
+      Engine.record_probes cfg tr)
+
+(** Cache-probe outcomes of a binary's trace on the hierarchy of [cfg]
+    (memoized per geometry; pass the platform the engine runs, i.e.
+    after the scheme's reconfiguration). *)
+let probes ?(scale = 1) (w : Defs.t) (cc : Pipeline.config) (cfg : Config.t) :
+    Engine.probes =
+  probes_of_trace ~scale w cc cfg (trace ~scale w cc)
+
 (** Timing statistics of a workload under a scheme on a platform. *)
 let stats ?(scale = 1) (w : Defs.t) (s : Cwsp_schemes.Schemes.t)
     (cfg : Config.t) : Stats.t =
   Store.memo stats_cache (stats_key ~scale w s cfg) (fun () ->
+      let cfg = s.s_reconfig cfg in
       let tr = trace ~scale w s.s_compile in
-      Engine.run_trace (s.s_reconfig cfg) s.s_engine tr)
+      Engine.replay cfg s.s_engine tr (probes_of_trace ~scale w s.s_compile cfg tr))
 
 (** Normalized slowdown of [scheme] against the uninstrumented baseline on
     the *same* platform (the baseline never gets the scheme's platform
@@ -81,22 +101,29 @@ let cache_stats () =
     ("stats", Store.stats stats_cache, Store.length stats_cache);
   ]
 
+let probe_stats () = (Store.stats probe_cache, Store.length probe_cache)
+
+let store_gauges name (s : Store.stats) entries =
+  [
+    (Printf.sprintf "store.%s.hits" name, float_of_int s.hits);
+    (Printf.sprintf "store.%s.misses" name, float_of_int s.misses);
+    (Printf.sprintf "store.%s.races" name, float_of_int s.races);
+    (Printf.sprintf "store.%s.entries" name, float_of_int entries);
+  ]
+
 let () =
   Cwsp_obs.Obs.register_gauges (fun () ->
-      List.concat_map
-        (fun (name, (s : Store.stats), entries) ->
-          [
-            (Printf.sprintf "store.%s.hits" name, float_of_int s.hits);
-            (Printf.sprintf "store.%s.misses" name, float_of_int s.misses);
-            (Printf.sprintf "store.%s.races" name, float_of_int s.races);
-            (Printf.sprintf "store.%s.entries" name, float_of_int entries);
-          ])
-        (cache_stats ()))
+      List.concat_map (fun (name, s, entries) -> store_gauges name s entries)
+        (cache_stats ()));
+  Cwsp_obs.Obs.register_gauges (fun () ->
+      let s, entries = probe_stats () in
+      store_gauges "probes" s entries)
 
 (** Clear all memoized state (used by tests that tweak workload scale). *)
 let reset_caches () =
   Store.reset compiled_cache;
   Store.reset trace_cache;
+  Store.reset probe_cache;
   Store.reset stats_cache
 
 (** End-to-end crash-consistency validation of a workload (compile with

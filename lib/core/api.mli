@@ -3,9 +3,10 @@
     and validate crash recovery.
 
     Compiled binaries and traces are memoized per (workload, scale,
-    compile config); timing statistics per (workload, scale, scheme,
-    platform fingerprint) — the platform key hashes the full [Config.t]
-    contents, so distinct platforms can never alias. All caches are
+    compile config); cache-probe streams per (binary, cache geometry);
+    timing statistics per (workload, scale, scheme, platform
+    fingerprint) — the platform key hashes the full [Config.t] contents,
+    so distinct platforms can never alias. All caches are
     mutex-protected and safe to populate from multiple domains
     ([Executor]). *)
 
@@ -33,7 +34,14 @@ val compiled : ?scale:int -> Defs.t -> Pipeline.config -> Pipeline.compiled
 (** Functional commit trace (memoized). *)
 val trace : ?scale:int -> Defs.t -> Pipeline.config -> Trace.t
 
-(** Timing statistics of a workload under a scheme on a platform. *)
+(** Cache-probe stream of a binary's trace on [cfg]'s hierarchy
+    (memoized per [Engine.geometry]); [cfg] is the platform the engine
+    runs, after the scheme's reconfiguration. *)
+val probes :
+  ?scale:int -> Defs.t -> Pipeline.config -> Config.t -> Engine.probes
+
+(** Timing statistics of a workload under a scheme on a platform: a
+    replay of the memoized trace over its memoized probe stream. *)
 val stats :
   ?scale:int -> Defs.t -> Cwsp_schemes.Schemes.t -> Config.t -> Stats.t
 
@@ -47,6 +55,10 @@ val slowdown :
 (** Per-cache memo effectiveness: (name, traffic, entries) for the
     compiled/trace/stats caches. Also exported as obs gauges. *)
 val cache_stats : unit -> (string * Store.stats * int) list
+
+(** Traffic and entries of the probe-stream cache; exported as the
+    [store.probes.*] obs gauges. *)
+val probe_stats : unit -> Store.stats * int
 
 (** Clear all memoized state. *)
 val reset_caches : unit -> unit

@@ -1,19 +1,23 @@
 (** The execute layer: deduplicate declared jobs, generate each shared
-    trace exactly once, then replay the timing points across an OCaml 5
-    domain pool.
+    trace and probe stream exactly once, then replay the timing points
+    across an OCaml 5 domain pool.
 
     Execution is two phases with a barrier between them:
 
     1. {b traces} — one task per distinct (workload, scale, compile
        config); each compiles the binary and interprets it into a commit
-       trace ([Api.trace], memoized).
+       trace ([Api.trace], memoized), then records the trace's probe
+       stream for every distinct cache geometry the plan replays it on
+       ([Api.probes], memoized).
     2. {b stats} — one task per distinct simulation point; each replays
-       its (already memoized) trace under the point's scheme/platform
-       ([Api.stats], memoized).
+       its (already memoized) trace and probe stream under the point's
+       scheme/platform ([Api.stats], memoized).
 
-    The barrier guarantees phase 2 never interprets: every trace a stats
-    task needs is a cache hit, so no work is duplicated across domains
-    regardless of which domain picks which task.
+    The barrier guarantees phase 2 never interprets or records: every
+    trace and stream a stats task needs is a cache hit, and each stream
+    is recorded by the one task that owns its trace, so no work is
+    duplicated across domains regardless of which domain picks which
+    task.
 
     Domain-safety contract (see DESIGN.md §5): tasks share only
     [Api]'s mutex-protected stores and the immutable values inside them
@@ -51,6 +55,7 @@ let h_task = Obs.Hist.make "executor.task_us"
 let c_declared = Obs.Counter.make "executor.jobs.declared"
 let c_points = Obs.Counter.make "executor.jobs.unique"
 let c_traces = Obs.Counter.make "executor.traces.unique"
+let c_streams = Obs.Counter.make "executor.streams.unique"
 
 (* Work-stealing-free pool: an atomic cursor over an immutable task
    array. Tasks are coarse (whole simulation runs), so contention on the
@@ -156,9 +161,14 @@ let run ?jobs (plan : Job.t list) =
   let jobs = match jobs with Some n -> clamp_jobs n | None -> !default_jobs in
   let points = dedupe Job.key plan in
   let traces = dedupe Job.trace_key points in
+  let streams = dedupe Job.probe_key (List.filter (fun j -> Job.probe_key j <> None) points) in
+  (* each trace's streams, recorded by the task that generates it *)
+  let streams_of = Hashtbl.create 64 in
+  List.iter (fun j -> Hashtbl.add streams_of (Job.trace_key j) j) (List.rev streams);
   Obs.Counter.add c_declared (List.length plan);
   Obs.Counter.add c_points (List.length points);
   Obs.Counter.add c_traces (List.length traces);
+  Obs.Counter.add c_streams (List.length streams);
   (* span names index into label arrays built only when tracing *)
   let labels js f =
     if !Obs.on then begin
@@ -170,7 +180,12 @@ let run ?jobs (plan : Job.t list) =
   Obs.span_begin ~cat:"executor" "phase:traces";
   run_pool ~jobs
     ?label:(labels traces (fun j -> "trace:" ^ Job.trace_key j))
-    (Array.of_list (List.map (fun j () -> Job.execute_trace j) traces));
+    (Array.of_list
+       (List.map
+          (fun j () ->
+            Job.execute_trace j;
+            List.iter Job.execute_probes (Hashtbl.find_all streams_of (Job.trace_key j)))
+          traces));
   Obs.span_end ();
   Obs.span_begin ~cat:"executor" "phase:stats";
   run_pool ~jobs

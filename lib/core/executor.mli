@@ -1,8 +1,10 @@
 (** The execute layer: deduplicate declared jobs, generate each shared
-    trace exactly once, then replay the timing points across an OCaml 5
-    domain pool. Two phases with a barrier: traces (one per distinct
-    workload/scale/compile-config), then stats (one per distinct
-    simulation point, every trace already a cache hit). [jobs = 1] runs
+    trace and probe stream exactly once, then replay the timing points
+    across an OCaml 5 domain pool. Two phases with a barrier: traces
+    (one per distinct workload/scale/compile-config, each also recording
+    its probe streams, one per distinct cache geometry), then stats (one
+    per distinct simulation point, every trace and stream already a
+    cache hit). [jobs = 1] runs
     on the calling domain with no spawns. When [Cwsp_obs.Obs.on] is set,
     tasks get spans (with queue-wait args), phases emit per-domain
     utilization samples, and dedupe totals feed counters. *)

@@ -58,12 +58,32 @@ let trace_key (j : t) : string =
   let w, sc, cc = Api.binary_key ~scale:j.scale j.workload compile in
   Printf.sprintf "%s@%d/%s" w sc cc
 
+(** Identity of the probe stream a stats job replays: its trace plus the
+    cache geometry of the platform the engine runs (after the scheme's
+    reconfiguration). [None] for trace-only jobs. *)
+let probe_key (j : t) : string option =
+  match j.spec with
+  | Stats { scheme; cfg } ->
+    Engine.geometry (scheme.s_reconfig cfg)
+    |> List.map (fun (size, assoc) -> Printf.sprintf "%dx%d" size assoc)
+    |> String.concat ","
+    |> Printf.sprintf "%s/%s" (trace_key j)
+    |> Option.some
+  | Trace _ -> None
+
 (** Run the job to completion through [Api]'s memoized entry points. *)
 let execute (j : t) : unit =
   match j.spec with
   | Stats { scheme; cfg } ->
     ignore (Api.stats ~scale:j.scale j.workload scheme cfg)
   | Trace { compile } -> ignore (Api.trace ~scale:j.scale j.workload compile)
+
+(** Record (only) the job's probe stream; a no-op for trace-only jobs. *)
+let execute_probes (j : t) : unit =
+  match j.spec with
+  | Stats { scheme; cfg } ->
+    ignore (Api.probes ~scale:j.scale j.workload scheme.s_compile (scheme.s_reconfig cfg))
+  | Trace _ -> ()
 
 (** Generate (only) the job's trace — phase one of the executor. *)
 let execute_trace (j : t) : unit =

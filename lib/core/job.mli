@@ -30,8 +30,16 @@ val key : t -> string
     each trace is generated once. *)
 val trace_key : t -> string
 
+(** Identity of the probe stream a stats job replays (trace + cache
+    geometry of the reconfigured platform); [None] for trace jobs. *)
+val probe_key : t -> string option
+
 (** Run the job to completion through [Api]'s memoized entry points. *)
 val execute : t -> unit
+
+(** Record (only) the job's probe stream ([Api.probes]); a no-op for
+    trace jobs. *)
+val execute_probes : t -> unit
 
 (** Generate (only) the job's trace — phase one of the executor. *)
 val execute_trace : t -> unit

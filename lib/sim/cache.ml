@@ -48,11 +48,6 @@ let create (level : Config.cache_level) =
     last_dirty_evict = -1;
   }
 
-type result = {
-  hit : bool;
-  evicted_dirty_line : int option; (* line address of a dirty eviction *)
-}
-
 (* First probe of page [p]: all ways invalid, all clocks 0. *)
 let[@inline never] alloc_page t p =
   let a = Array.make (2 * t.lru_off) (-1) in
@@ -122,16 +117,6 @@ let probe t ~addr ~write : bool =
   end
 
 let last_dirty_evict t = t.last_dirty_evict
-
-(** Access the line containing [addr]; allocates on miss. [write] marks
-    the line dirty. Record-returning wrapper over [probe]. *)
-let access t ~addr ~write : result =
-  let hit = probe t ~addr ~write in
-  {
-    hit;
-    evicted_dirty_line =
-      (if t.last_dirty_evict >= 0 then Some t.last_dirty_evict else None);
-  }
 
 (** Mark a line dirty without an access (used for writebacks arriving from
     an upper level); allocates like a write access. *)

@@ -9,16 +9,8 @@ val line_bytes : int
 
 val create : Config.cache_level -> t
 
-type result = {
-  hit : bool;
-  evicted_dirty_line : int option; (** line address of a dirty eviction *)
-}
-
 (** Access the line containing [addr], allocating on miss; [write] marks
-    it dirty. *)
-val access : t -> addr:int -> write:bool -> result
-
-(** Allocation-free [access] (the engines' hot path): returns the hit
+    it dirty. Allocation-free (the engines' hot path): returns the hit
     flag; a dirty eviction's line address is left in [last_dirty_evict]
     (-1 when none) until the next probe. *)
 val probe : t -> addr:int -> write:bool -> bool

@@ -20,15 +20,22 @@
       has persisted (stale-read prevention); loads that miss every cache
       level and hit a pending WPQ entry wait for the entry to drain.
 
+    Two stages (DESIGN.md §5): trace -> per-geometry probe stream ->
+    timing. Cache outcomes depend only on the addresses and each level's
+    (size, associativity), so [record_probes] walks a [Hierarchy] once
+    per trace and geometry, and [replay] times any scheme on any
+    platform of that geometry from the stream; the sweep's 2,425 points
+    share 407 streams.
+
     Performance shape (DESIGN.md §12): the replay loop runs once per
     event across the sweep's 2,425 simulation points, so this file keeps
     the per-event path allocation-free. All hot floats live in [clocks] — a
     record whose fields are all float, which OCaml stores flat (a float
     field assignment in a mixed record allocates a box every time);
     per-address state is in [Imap]s (open addressing, unboxed float
-    values); cache results travel as packed ints ([Hierarchy.probe]);
-    queue pushes are the unboxed [Tsq.push_u]. Stall breakdowns
-    accumulate in [clocks] and are flushed to [Stats.t] once per run. *)
+    values); cache outcomes are bytes of the probe stream; queue pushes
+    are the unboxed [Tsq.push_u]. Stall breakdowns accumulate in
+    [clocks] and are flushed to [Stats.t] once per run. *)
 
 module Obs = Cwsp_obs.Obs
 
@@ -172,11 +179,87 @@ let storage_bytes ~rbt_entries =
      (Section IX-N) *)
   rbt_entries * 11
 
+(* ---- stage 1: the probe stream ---- *)
+
+(* One byte per probe: the hit level (= number of levels from memory)
+   in bits 0-2, then [Hierarchy.probe]'s from-memory, L1-evict and
+   LLC-evict flags shifted into bits 3-5. Only write probes keep the
+   L1-evict bit: their evictions enter the write buffer, one [evicts]
+   entry each. *)
+let code_level = 7
+let code_from_memory = Hierarchy.from_memory_bit lsr 3
+let code_l1_evict = Hierarchy.l1_evict_bit lsr 3
+let code_llc_evict = Hierarchy.llc_evict_bit lsr 3
+
+type probes = {
+  p_events : int; (* length of the recorded trace *)
+  p_geometry : (int * int) list;
+  codes : string; (* one code per probe, in trace order *)
+  evicts : int array; (* dirty-L1-eviction line addresses, in order *)
+  p_nvm_reads : int;
+  p_l1_miss_rate : float;
+  p_llc_miss_rate : float;
+}
+
+let geometry (cfg : Config.t) =
+  List.map (fun (l : Config.cache_level) -> (l.size_bytes, l.assoc)) cfg.levels
+
+(* Probes exactly where [replay] consumes codes: a load reads, a store or
+   checkpoint writes, an atomic reads then writes. *)
+let record_probes (cfg : Config.t) (trace : Cwsp_interp.Trace.t) : probes =
+  let open Cwsp_interp in
+  if !Obs.on then Obs.span_begin ~cat:"sim" "record-probes";
+  let h = Hierarchy.create cfg in
+  let codes = Buffer.create 4096 and evicts = ref [||] and n_evicts = ref 0 in
+  let probe addr ~write =
+    let code = Hierarchy.probe h ~addr ~write in
+    let level = code land Hierarchy.level_mask in
+    assert (level <= code_level);
+    let l1_evict = write && code land Hierarchy.l1_evict_bit <> 0 in
+    if l1_evict then begin
+      let line = h.last_l1_evict in
+      if !n_evicts = Array.length !evicts then
+        evicts := Array.append !evicts (Array.make (max 1024 !n_evicts) 0);
+      !evicts.(!n_evicts) <- line;
+      incr n_evicts;
+      Hierarchy.wb_install h ~line_addr:line
+    end;
+    let flags = (code lsr 3) land (code_from_memory lor code_llc_evict) in
+    let flags = if l1_evict then flags lor code_l1_evict else flags in
+    Buffer.add_char codes (Char.unsafe_chr (level lor flags))
+  in
+  for i = 0 to Trace.length trace - 1 do
+    let ev = Trace.get trace i in
+    let tag = Event.tag ev and addr = Event.payload ev in
+    if tag = Event.tag_load then probe addr ~write:false
+    else if tag = Event.tag_store || tag = Event.tag_ckpt then probe addr ~write:true
+    else if tag = Event.tag_atomic then begin
+      probe addr ~write:false;
+      probe addr ~write:true
+    end
+  done;
+  if !Obs.on then Obs.span_end ();
+  {
+    p_events = Trace.length trace;
+    p_geometry = geometry cfg;
+    codes = Buffer.contents codes;
+    evicts = Array.sub !evicts 0 !n_evicts;
+    p_nvm_reads = h.nvm_reads;
+    p_l1_miss_rate = Hierarchy.l1_miss_rate h;
+    p_llc_miss_rate = Hierarchy.llc_miss_rate h;
+  }
+
+(* ---- stage 2: timing ---- *)
+
 type t = {
   cfg : Config.t;
   scheme : scheme;
   stats : Stats.t;
-  hier : Hierarchy.t;
+  hit_ns : float array; (* per level, from [cfg.levels] *)
+  codes : string; (* the probe stream, read at [pos] *)
+  mutable pos : int;
+  evicts : int array; (* read at [epos] *)
+  mutable epos : int;
   c : clocks;
   (* persist machinery *)
   pb : pb;
@@ -196,12 +279,16 @@ type t = {
   numa_ns : float array;
 }
 
-let create (cfg : Config.t) (scheme : scheme) =
+let create (cfg : Config.t) (scheme : scheme) (p : probes) =
   {
     cfg;
     scheme;
     stats = Stats.create ();
-    hier = Hierarchy.create cfg;
+    hit_ns = Array.of_list (List.map (fun (l : Config.cache_level) -> l.hit_ns) cfg.levels);
+    codes = p.codes;
+    pos = 0;
+    evicts = p.evicts;
+    epos = 0;
     c = clocks_create ();
     pb = pb_create cfg.pb_entries;
     wpqs = Array.init cfg.n_mcs (fun _ -> Tsq.create ~size:cfg.wpq_entries);
@@ -262,11 +349,18 @@ let persist_store t ~addr ~commit ~bytes ~logged ~use_redo ?(coalesce = false) (
 
 (* ---- event handlers ---- *)
 
-(* Returns the packed [Hierarchy.probe] code. *)
-let handle_cache_write t ~addr ~count_wb_occupancy =
-  let code = Hierarchy.probe t.hier ~addr ~write:true in
-  (if code land Hierarchy.l1_evict_bit <> 0 then begin
-     let line = Hierarchy.last_l1_evict t.hier in
+(* The next probe's code from the stream. *)
+let[@inline] next_code t =
+  let code = Char.code (String.unsafe_get t.codes t.pos) in
+  t.pos <- t.pos + 1;
+  code
+
+(* Consumes a write probe; returns its code. *)
+let handle_cache_write t =
+  let code = next_code t in
+  (if code land code_l1_evict <> 0 then begin
+     let line = Array.unsafe_get t.evicts t.epos in
+     t.epos <- t.epos + 1;
      (* the eviction enters the L1D write buffer; under cWSP's stale-read
         prevention it may not drain to L2 before the line has persisted *)
      let delay_start =
@@ -278,30 +372,27 @@ let handle_cache_write t ~addr ~count_wb_occupancy =
      in
      Tsq.push_u t.wb ~ready:delay_start ~service:t.cfg.wb_drain_ns;
      let admit = Array.unsafe_get (Tsq.times t.wb) 1 in
-     Hierarchy.wb_install t.hier ~line_addr:line;
      let stall = fmax 0.0 (admit -. delay_start) in
      t.c.s_wb <- t.c.s_wb +. stall;
      t.c.now <- t.c.now +. stall
    end);
-  if count_wb_occupancy then begin
-    t.c.wb_occ_sum <-
-      t.c.wb_occ_sum +. float_of_int (Tsq.occupancy t.wb ~now:t.c.now);
-    t.wb_occ_n <- t.wb_occ_n + 1
-  end;
+  t.c.wb_occ_sum <-
+    t.c.wb_occ_sum +. float_of_int (Tsq.occupancy t.wb ~now:t.c.now);
+  t.wb_occ_n <- t.wb_occ_n + 1;
   code
 
 let handle_load t ~addr =
   t.stats.loads <- t.stats.loads + 1;
-  let code = Hierarchy.probe t.hier ~addr ~write:false in
-  let level = code land Hierarchy.level_mask in
+  let code = next_code t in
+  let level = code land code_level in
   let serve_ns =
-    if code land Hierarchy.from_memory_bit <> 0 then t.cfg.mem.read_ns
-    else Array.unsafe_get t.hier.hit_ns level
+    if code land code_from_memory <> 0 then t.cfg.mem.read_ns
+    else Array.unsafe_get t.hit_ns level
   in
   let latency = if level = 0 then serve_ns else serve_ns /. t.cfg.mlp in
   t.c.now <- t.c.now +. t.cfg.cycle_ns +. latency;
   (* loads reaching main memory may hit a pending WPQ entry *)
-  if code land Hierarchy.from_memory_bit <> 0 then begin
+  if code land code_from_memory <> 0 then begin
     let d = Imap.find_def t.word_wpq_done addr neg_infinity in
     if d > t.c.now then begin
       t.stats.wpq_hits <- t.stats.wpq_hits + 1;
@@ -323,7 +414,7 @@ let handle_store t ~addr ~is_ckpt =
   else t.stats.stores <- t.stats.stores + 1;
   let commit = t.c.now +. t.cfg.cycle_ns in
   t.c.now <- commit;
-  let code = handle_cache_write t ~addr ~count_wb_occupancy:true in
+  let code = handle_cache_write t in
   match t.scheme with
   | Baseline -> ()
   | Cwsp f ->
@@ -352,7 +443,7 @@ let handle_store t ~addr ~is_ckpt =
     t.c.now <- t.c.now +. stall;
     (* Capri scans the proxy buffer on DRAM-cache evictions and must wait
        the worst-case delivery latency (Section II-D) *)
-    if code land Hierarchy.llc_evict_bit <> 0 then
+    if code land code_llc_evict <> 0 then
       t.c.now <- t.c.now +. t.cfg.path_latency_ns
   | Replaycache ->
     (* software scheme: per-store instrumentation plus 64B write-through *)
@@ -499,11 +590,13 @@ let emit_epoch t track =
   Obs.counter_event ~pid:track ~name:"wb_occupancy" ~ts_us
     [ ("entries", float_of_int (Tsq.occupancy t.wb ~now:t.c.now)) ]
 
-let run_trace (cfg : Config.t) (scheme : scheme) (trace : Cwsp_interp.Trace.t) :
-    Stats.t =
-  let t = create cfg scheme in
+let replay (cfg : Config.t) (scheme : scheme) (trace : Cwsp_interp.Trace.t)
+    (p : probes) : Stats.t =
   let open Cwsp_interp in
   let n = Trace.length trace in
+  if n <> p.p_events || geometry cfg <> p.p_geometry then
+    invalid_arg "Engine.replay: probe stream of another trace or cache geometry";
+  let t = create cfg scheme p in
   (* [track < 0] is the single disabled-path branch per epoch check *)
   let track =
     if not !Obs.on then -1
@@ -536,11 +629,13 @@ let run_trace (cfg : Config.t) (scheme : scheme) (trace : Cwsp_interp.Trace.t) :
   clocks_flush t.c t.stats;
   Cwsp_util.Stats.Acc.add_sum t.stats.wb_occupancy ~sum:t.c.wb_occ_sum
     ~count:t.wb_occ_n;
-  t.stats.nvm_reads <- t.hier.nvm_reads;
-  t.stats.l1_miss_rate <- Hierarchy.l1_miss_rate t.hier;
-  t.stats.llc_miss_rate <- Hierarchy.llc_miss_rate t.hier;
+  t.stats.nvm_reads <- p.p_nvm_reads;
+  t.stats.l1_miss_rate <- p.p_l1_miss_rate;
+  t.stats.llc_miss_rate <- p.p_llc_miss_rate;
   if track >= 0 then begin
     emit_epoch t track;
     Obs.span_end ()
   end;
   t.stats
+
+let run_trace cfg scheme trace = replay cfg scheme trace (record_probes cfg trace)

@@ -3,7 +3,11 @@
     stalls where the modeled hardware produces backpressure (the cWSP
     hardware of Fig. 9: PB -> persist path -> per-MC WPQs with
     asynchronous undo logging; RBT admission for MC speculation; WB
-    stale-read delaying; WPQ-hit load delaying). *)
+    stale-read delaying; WPQ-hit load delaying).
+
+    Two stages: trace -> per-geometry probe stream -> timing; cache
+    outcomes depend only on the trace and each level's size and
+    associativity, so they are recorded once per geometry. *)
 
 type cwsp_flags = {
   persist_path : bool;   (** Fig. 15 stage 2: persist committed stores *)
@@ -89,4 +93,23 @@ val storage_bytes : rbt_entries:int -> int
 
 (** {2 Running} *)
 
+(** A trace's cache-probe outcomes under one cache geometry: one code per
+    probe (a load probes once, a store or checkpoint once, an atomic
+    twice), the dirty-L1-eviction line addresses entering the write
+    buffer, and the end-of-run NVM reads and miss rates. Immutable. *)
+type probes
+
+(** Per-level [(size_bytes, assoc)]: all a stream depends on but the trace. *)
+val geometry : Config.t -> (int * int) list
+
+(** Stage 1: walk the trace once through a fresh [Hierarchy]. *)
+val record_probes : Config.t -> Cwsp_interp.Trace.t -> probes
+
+(** Stage 2: time the trace under [scheme] on [cfg], reading cache
+    outcomes from the stream. Hit latencies come from [cfg.levels].
+    Raises [Invalid_argument] unless the stream was recorded from a
+    trace of the same length under [geometry cfg]. *)
+val replay : Config.t -> scheme -> Cwsp_interp.Trace.t -> probes -> Stats.t
+
+(** [replay cfg scheme trace (record_probes cfg trace)]. *)
 val run_trace : Config.t -> scheme -> Cwsp_interp.Trace.t -> Stats.t

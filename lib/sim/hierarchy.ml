@@ -1,41 +1,21 @@
-(** The cache hierarchy walker.
-
-    Maintains one [Cache.t] per configured level; an access is served by
-    the first hitting level (charged that level's latency) and allocates
-    the line in every level above. Dirty evictions from the L1 are
-    surfaced to the engine (they enter the L1D write buffer, which the
-    stale-read machinery of Section V-A1 delays); dirty evictions from
-    inner levels are installed one level down; dirty evictions from the
-    LLC are counted — under persist-path schemes they are silently dropped
-    (the data already traveled the persist path), in the baseline they are
-    plain memory write-backs. *)
+(** The cache hierarchy walker (see hierarchy.mli). Dirty L1 evictions
+    enter the L1D write buffer, which the stale-read machinery of Section
+    V-A1 delays; dirty LLC evictions are flagged — persist-path schemes
+    drop them (the data already traveled the persist path), in the
+    baseline they are plain memory write-backs. *)
 
 type t = {
-  cfg : Config.t;
   caches : Cache.t array;
-  hit_ns : float array; (* per level *)
   mutable nvm_reads : int;
-  mutable llc_dirty_evictions : int;
   mutable last_l1_evict : int; (* line address, -1 = none; see [probe] *)
 }
 
 let create (cfg : Config.t) =
   {
-    cfg;
     caches = Array.of_list (List.map Cache.create cfg.levels);
-    hit_ns = Array.of_list (List.map (fun (l : Config.cache_level) -> l.hit_ns) cfg.levels);
     nvm_reads = 0;
-    llc_dirty_evictions = 0;
     last_l1_evict = -1;
   }
-
-type outcome = {
-  latency_ns : float;             (* serving-point latency, before MLP scaling *)
-  hit_level : int;                (* 0-based; number of levels = memory *)
-  l1_dirty_eviction : int option; (* line address entering the L1D WB *)
-  from_memory : bool;             (* served by main memory *)
-  llc_eviction : bool;            (* caused a dirty LLC eviction *)
-}
 
 (* packed [probe] result *)
 let level_mask = 63
@@ -43,13 +23,6 @@ let from_memory_bit = 64
 let l1_evict_bit = 128
 let llc_evict_bit = 256
 
-(** Allocation-free access (the engines' hot path): the result packs the
-    0-based hit level ([land level_mask]; = number of levels when served
-    by memory) with the [from_memory_bit] / [l1_evict_bit] /
-    [llc_evict_bit] flags. A dirty L1 eviction leaves its line address
-    in [last_l1_evict] until the next probe; the serving latency is
-    [hit_ns.(level)] (or [cfg.mem.read_ns] from memory), which the
-    caller reads directly so no float crosses the call boundary. *)
 (* Top-level (closed) recursion: a local [let rec] capturing [t]/[addr]
    would allocate a closure on every access. *)
 let rec probe_walk t ~addr ~write n i flags =
@@ -66,10 +39,7 @@ let rec probe_walk t ~addr ~write n i flags =
         t.last_l1_evict <- line;
         flags lor l1_evict_bit
       end
-      else if i = n - 1 then begin
-        t.llc_dirty_evictions <- t.llc_dirty_evictions + 1;
-        flags lor llc_evict_bit
-      end
+      else if i = n - 1 then flags lor llc_evict_bit
       else begin
         Cache.install_dirty t.caches.(i + 1) ~line_addr:line;
         flags
@@ -81,23 +51,6 @@ let rec probe_walk t ~addr ~write n i flags =
 let probe t ~addr ~write : int =
   t.last_l1_evict <- -1;
   probe_walk t ~addr ~write (Array.length t.caches) 0 0
-
-let last_l1_evict t = t.last_l1_evict
-
-let access t ~addr ~write : outcome =
-  let n = Array.length t.caches in
-  let code = probe t ~addr ~write in
-  let hit_level = code land level_mask in
-  {
-    latency_ns =
-      (if code land from_memory_bit <> 0 then t.cfg.mem.read_ns
-       else t.hit_ns.(hit_level));
-    hit_level;
-    l1_dirty_eviction =
-      (if code land l1_evict_bit <> 0 then Some t.last_l1_evict else None);
-    from_memory = hit_level >= n;
-    llc_eviction = code land llc_evict_bit <> 0;
-  }
 
 (** A writeback arriving from the L1D write buffer installs into L2 (or
     is dropped to memory accounting when the L1 is the only level). *)

@@ -2,31 +2,19 @@
     access is served by the first hitting level and allocates the line in
     every level above. Dirty L1 evictions are surfaced to the engine (they
     enter the L1D write buffer); inner-level evictions install one level
-    down; LLC evictions are counted (persist-path schemes silently drop
-    them — the data already traveled the persist path). *)
+    down; LLC evictions are flagged. Outcomes depend only on each
+    level's size and associativity, never on latencies: the engine
+    records them once per trace and geometry ([Engine.record_probes]). *)
 
 type t = {
-  cfg : Config.t;
   caches : Cache.t array;
-  hit_ns : float array;
   mutable nvm_reads : int;
-  mutable llc_dirty_evictions : int;
   mutable last_l1_evict : int; (** line address, -1 = none; see [probe] *)
 }
 
 val create : Config.t -> t
 
-type outcome = {
-  latency_ns : float;             (** serving-point latency, pre-MLP *)
-  hit_level : int;                (** 0-based; = number of levels for memory *)
-  l1_dirty_eviction : int option; (** line entering the L1D write buffer *)
-  from_memory : bool;
-  llc_eviction : bool;
-}
-
-val access : t -> addr:int -> write:bool -> outcome
-
-(** {2 Allocation-free access (the engines' hot path)} *)
+(** {2 Allocation-free access} *)
 
 (** Flags packed into a [probe] result alongside the hit level
     ([land level_mask], = number of levels when served by memory). *)
@@ -36,13 +24,10 @@ val from_memory_bit : int
 val l1_evict_bit : int
 val llc_evict_bit : int
 
-(** [access] without the record: the caller unpacks the level and flags
-    and reads the serving latency from [hit_ns]/[cfg.mem.read_ns]
-    itself. A dirty L1 eviction's line address is left in
-    [last_l1_evict] until the next probe. *)
+(** Access [addr]; returns the packed level and flags. A dirty L1
+    eviction's line address is left in [last_l1_evict] until the next
+    probe. *)
 val probe : t -> addr:int -> write:bool -> int
-
-val last_l1_evict : t -> int
 
 (** A writeback arriving from the L1D write buffer installs into L2. *)
 val wb_install : t -> line_addr:int -> unit

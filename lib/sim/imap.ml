@@ -58,5 +58,3 @@ let[@inline always] put t k v =
     (* load factor 1/2 keeps probe chains short *)
     if 2 * t.count > t.mask then grow t
   end
-
-let length t = t.count

@@ -12,5 +12,3 @@ val find_def : t -> int -> float -> float
 
 (** Bind [k] to [v], replacing any previous binding. [k] must be >= 0. *)
 val put : t -> int -> float -> unit
-
-val length : t -> int

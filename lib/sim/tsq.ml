@@ -10,9 +10,9 @@
     The record keeps every float in a flat [float array] ([fs]) rather
     than in mutable float fields: OCaml boxes each assignment to a float
     field of a mixed record, and [push_u] runs once per store event
-    across the sweep's 2,425 simulation points. [push_u]/[admit]/
+    across the sweep's 2,425 simulation points. [push_u]/[times]/
     [last_completion] together are the allocation-free interface the
-    engines use; [push] is the tupled convenience wrapper. *)
+    engines use. *)
 
 type t = {
   size : int;
@@ -29,8 +29,8 @@ let create ~size =
    as [Float.max] does). *)
 let[@inline] fmax (a : float) (b : float) = if b > a then b else a
 
-(** Allocation-free push: admit time is [admit t], completion time is
-    [last_completion t]. [admit >= ready] is when a slot frees up
+(** Allocation-free push: admit time is [(times t).(1)], completion
+    time is [last_completion t]. [admit >= ready] is when a slot frees up
     (equals [ready] unless the queue is full of unfinished work), and
     [completion = max(admit, previous completion) + service]. *)
 let[@inline always] push_u t ~ready ~service =
@@ -48,15 +48,7 @@ let[@inline always] push_u t ~ready ~service =
   Array.unsafe_set t.fs 0 completion;
   Array.unsafe_set t.fs 1 admit
 
-(** [push t ~ready ~service] returns [(admit, completion)]. *)
-let push t ~ready ~service =
-  push_u t ~ready ~service;
-  (t.fs.(1), t.fs.(0))
-
 let last_completion t = Array.unsafe_get t.fs 0
-
-(** Admit time of the most recent [push_u]/[push]. *)
-let admit t = Array.unsafe_get t.fs 1
 
 (** Raw result cells (0 = last completion, 1 = last admit). *)
 let times t = t.fs

@@ -10,19 +10,12 @@ type t
 val create : size:int -> t
 
 (** Allocation-free push (the engines' hot path): results are read back
-    with [admit] and [last_completion]. [admit >= ready] (delayed while
+    with [times] and [last_completion]. [admit >= ready] (delayed while
     all slots hold unfinished work); [completion = max(admit, previous
     completion) + service]. *)
 val push_u : t -> ready:float -> service:float -> unit
 
-(** [(admit, completion)] of pushing one item — tupled convenience
-    wrapper over [push_u]. *)
-val push : t -> ready:float -> service:float -> float * float
-
 val last_completion : t -> float
-
-(** Admit time of the most recent push. *)
-val admit : t -> float
 
 (** The queue's result cells — slot 0 = last completion, slot 1 = admit
     of the last push. Returned as the raw float array so engine hot

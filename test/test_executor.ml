@@ -81,6 +81,23 @@ let test_plan_dedup () =
   let out = capture_stdout render in
   Alcotest.(check bool) "render from warm store" true (String.length out > 0)
 
+(* Phase 1 records each (trace, geometry) probe stream once, on the
+   domain that owns the trace: at two domains no stream is recorded
+   twice, and every stats task finds its stream already stored. *)
+let test_probe_streams_once () =
+  Api.reset_caches ();
+  let plan = Exp.plan ~subset series in
+  Executor.run ~jobs:2 plan;
+  let (s : Store.stats), entries = Api.probe_stats () in
+  let streams =
+    List.length (List.sort_uniq compare (List.filter_map Job.probe_key plan))
+  in
+  Alcotest.(check int) "one stream per (trace, geometry)" streams entries;
+  Alcotest.(check int) "races" 0 s.races;
+  Alcotest.(check int) "recorded once each" entries s.misses;
+  let points = List.length (List.sort_uniq compare (List.map Job.key plan)) in
+  Alcotest.(check int) "every replay hits" points s.hits
+
 (* Concurrency smoke: many domains hammer one store with overlapping
    keys; every read must observe the canonical value and the store must
    end with exactly one entry per key. *)
@@ -129,6 +146,7 @@ let () =
         [
           Alcotest.test_case "jobs=1 vs jobs=4" `Slow test_jobs_determinism;
           Alcotest.test_case "plan dedup" `Slow test_plan_dedup;
+          Alcotest.test_case "probe streams once" `Slow test_probe_streams_once;
         ] );
       ( "concurrency",
         [

@@ -8,6 +8,11 @@ let qtest = QCheck_alcotest.to_alcotest
 
 (* ---- Tsq ---- *)
 
+(* [(admit, completion)] of one push *)
+let push q ~ready ~service =
+  Tsq.push_u q ~ready ~service;
+  ((Tsq.times q).(1), Tsq.last_completion q)
+
 let prop_tsq_fifo_completions_monotone =
   QCheck.Test.make ~name:"Tsq completions non-decreasing" ~count:200
     QCheck.(
@@ -21,7 +26,7 @@ let prop_tsq_fifo_completions_monotone =
         (fun (dt, service) ->
           ready := !ready +. dt;
           let prev = Tsq.last_completion q in
-          let _, c = Tsq.push q ~ready:!ready ~service in
+          let _, c = push q ~ready:!ready ~service in
           c >= prev)
         items)
 
@@ -37,22 +42,22 @@ let prop_tsq_admit_after_ready =
       List.for_all
         (fun (dt, service) ->
           ready := !ready +. dt;
-          let a, c = Tsq.push q ~ready:!ready ~service in
+          let a, c = push q ~ready:!ready ~service in
           a >= !ready && c >= a +. service -. 1e-9)
         items)
 
 let test_tsq_backpressure () =
   (* queue of 2 with slow service: the third push must wait *)
   let q = Tsq.create ~size:2 in
-  let _, c1 = Tsq.push q ~ready:0.0 ~service:10.0 in
-  let _ = Tsq.push q ~ready:0.0 ~service:10.0 in
-  let a3, _ = Tsq.push q ~ready:0.0 ~service:10.0 in
+  let _, c1 = push q ~ready:0.0 ~service:10.0 in
+  let _ = push q ~ready:0.0 ~service:10.0 in
+  let a3, _ = push q ~ready:0.0 ~service:10.0 in
   Alcotest.(check (float 1e-9)) "waits for first completion" c1 a3
 
 let test_tsq_occupancy_bounded () =
   let q = Tsq.create ~size:4 in
   for _ = 1 to 20 do
-    ignore (Tsq.push q ~ready:0.0 ~service:100.0)
+    ignore (push q ~ready:0.0 ~service:100.0)
   done;
   Alcotest.(check bool) "occupancy <= size" true (Tsq.occupancy q ~now:1.0 <= 4)
 
@@ -60,33 +65,30 @@ let test_tsq_occupancy_bounded () =
 
 let test_cache_hit_after_fill () =
   let c = Cache.create { cname = "t"; size_bytes = 1024; assoc = 2; hit_ns = 1.0 } in
-  let r1 = Cache.access c ~addr:0 ~write:false in
-  Alcotest.(check bool) "first is miss" false r1.hit;
-  let r2 = Cache.access c ~addr:8 ~write:false in
-  Alcotest.(check bool) "same line hits" true r2.hit
+  Alcotest.(check bool) "first is miss" false (Cache.probe c ~addr:0 ~write:false);
+  Alcotest.(check bool) "same line hits" true (Cache.probe c ~addr:8 ~write:false)
 
 let test_cache_dirty_eviction () =
   (* direct-mapped 2-set cache: two lines conflicting in set 0 *)
   let c = Cache.create { cname = "t"; size_bytes = 128; assoc = 1; hit_ns = 1.0 } in
-  ignore (Cache.access c ~addr:0 ~write:true);
-  let r = Cache.access c ~addr:128 ~write:false in
-  Alcotest.(check (option int)) "dirty line evicted" (Some 0) r.evicted_dirty_line
+  ignore (Cache.probe c ~addr:0 ~write:true);
+  ignore (Cache.probe c ~addr:128 ~write:false);
+  Alcotest.(check int) "dirty line evicted" 0 (Cache.last_dirty_evict c)
 
 let test_cache_lru () =
   (* 2-way, 1 set (128B): touch A, B, re-touch A, insert C -> B evicted *)
   let c = Cache.create { cname = "t"; size_bytes = 128; assoc = 2; hit_ns = 1.0 } in
-  ignore (Cache.access c ~addr:0 ~write:true) (* A *);
-  ignore (Cache.access c ~addr:128 ~write:true) (* B *);
-  ignore (Cache.access c ~addr:0 ~write:false) (* refresh A *);
-  let r = Cache.access c ~addr:256 ~write:false (* C *) in
-  Alcotest.(check (option int)) "LRU (B) evicted" (Some 128) r.evicted_dirty_line;
-  let ra = Cache.access c ~addr:0 ~write:false in
-  Alcotest.(check bool) "A survives" true ra.hit
+  ignore (Cache.probe c ~addr:0 ~write:true) (* A *);
+  ignore (Cache.probe c ~addr:128 ~write:true) (* B *);
+  ignore (Cache.probe c ~addr:0 ~write:false) (* refresh A *);
+  ignore (Cache.probe c ~addr:256 ~write:false) (* C *);
+  Alcotest.(check int) "LRU (B) evicted" 128 (Cache.last_dirty_evict c);
+  Alcotest.(check bool) "A survives" true (Cache.probe c ~addr:0 ~write:false)
 
 let test_cache_miss_rate () =
   let c = Cache.create { cname = "t"; size_bytes = 1024; assoc = 2; hit_ns = 1.0 } in
-  ignore (Cache.access c ~addr:0 ~write:false);
-  ignore (Cache.access c ~addr:0 ~write:false);
+  ignore (Cache.probe c ~addr:0 ~write:false);
+  ignore (Cache.probe c ~addr:0 ~write:false);
   Alcotest.(check (float 1e-9)) "1 of 2" 0.5 (Cache.miss_rate c)
 
 (* Differential check of the paged tag store against a reference LRU
@@ -209,15 +211,22 @@ let test_hierarchy_levels () =
     }
   in
   let h = Hierarchy.create cfg in
-  let o1 = Hierarchy.access h ~addr:0 ~write:false in
-  Alcotest.(check bool) "cold miss reaches memory" true o1.from_memory;
-  Alcotest.(check (float 1e-9)) "memory latency" cfg.mem.read_ns o1.latency_ns;
-  let o2 = Hierarchy.access h ~addr:0 ~write:false in
-  Alcotest.(check (float 1e-9)) "l1 hit" 1.0 o2.latency_ns;
-  (* evict addr 0 from l1 (conflict), it should then hit in l2 *)
-  ignore (Hierarchy.access h ~addr:128 ~write:false);
-  let o3 = Hierarchy.access h ~addr:0 ~write:false in
-  Alcotest.(check (float 1e-9)) "l2 hit" 10.0 o3.latency_ns
+  let level code = code land Hierarchy.level_mask in
+  let c1 = Hierarchy.probe h ~addr:0 ~write:true in
+  Alcotest.(check bool) "cold miss reaches memory" true
+    (c1 land Hierarchy.from_memory_bit <> 0);
+  Alcotest.(check int) "memory is level 2" 2 (level c1);
+  Alcotest.(check int) "l1 hit" 0 (level (Hierarchy.probe h ~addr:0 ~write:false));
+  (* evict dirty addr 0 from l1 (conflict): the eviction is surfaced,
+     and once installed below, addr 0 hits in l2 *)
+  let c2 = Hierarchy.probe h ~addr:128 ~write:false in
+  Alcotest.(check bool) "dirty l1 eviction" true (c2 land Hierarchy.l1_evict_bit <> 0);
+  Alcotest.(check int) "evicted line" 0 h.last_l1_evict;
+  Hierarchy.wb_install h ~line_addr:0;
+  let c3 = Hierarchy.probe h ~addr:0 ~write:false in
+  Alcotest.(check int) "l2 hit" 1 (level c3);
+  Alcotest.(check int) "no eviction" (-1) h.last_l1_evict;
+  Alcotest.(check int) "nvm reads" 2 h.nvm_reads
 
 (* ---- engine properties over a fixed synthetic trace ---- *)
 
@@ -298,6 +307,140 @@ let test_deterministic_replay () =
   let b = cycles Config.default (Engine.Cwsp Engine.cwsp_full) tr in
   Alcotest.(check (float 0.0)) "bit-identical" a b
 
+(* ---- Stats golden ---- *)
+
+(* Every [Stats.t] field, floats as exact hex. *)
+let stats_line (s : Stats.t) =
+  Printf.sprintf
+    "elapsed=%h instrs=%d loads=%d stores=%d ckpts=%d boundaries=%d atomics=%d \
+     fences=%d nvm_reads=%d l1miss=%h llcmiss=%h nvm_writes=%d log_writes=%d \
+     wpq_hits=%d pb=%h rbt=%h drain=%h sync=%h wb=%h wpq_hit=%h redo=%h \
+     wb_occ=%h/%d"
+    s.elapsed_ns s.instructions s.loads s.stores s.ckpt_stores s.boundaries
+    s.atomics s.fences s.nvm_reads s.l1_miss_rate s.llc_miss_rate s.nvm_writes
+    s.log_writes s.wpq_hits s.stall_pb_ns s.stall_rbt_ns s.stall_drain_ns
+    s.stall_sync_ns s.stall_wb_ns s.stall_wpq_hit_ns s.stall_redo_ns
+    (Cwsp_util.Stats.Acc.mean s.wb_occupancy)
+    (Cwsp_util.Stats.Acc.count s.wb_occupancy)
+
+let golden_workloads = [ "lu-ncg"; "fft"; "vacation" ]
+
+let golden_configs =
+  [
+    ("default", Config.default);
+    ("with_l3", Config.with_l3);
+    ("psp_no_dram_cache", Config.psp_no_dram_cache);
+    ("fig1_levels2", Config.fig1_levels 2);
+    ("fig1_levels5", Config.fig1_levels 5);
+    ("cxl", Config.cxl Nvm.cxl_a);
+  ]
+
+let golden_schemes =
+  let open Cwsp_schemes.Schemes in
+  [ baseline; cwsp; cwsp_no_prune; cwsp_no_speculation; ido; capri;
+    replaycache; psp_ideal; explicit_flush ]
+  @ List.map snd fig15_stages
+
+(* One line per (workload, platform, scheme) point, replayed through the
+   public [Api.stats] path (scheme reconfiguration included). *)
+let golden_lines () =
+  Cwsp_core.Api.reset_caches ();
+  List.concat_map
+    (fun wname ->
+      let w = Cwsp_workloads.Registry.find_exn wname in
+      List.concat_map
+        (fun (cname, cfg) ->
+          List.map
+            (fun (s : Cwsp_schemes.Schemes.t) ->
+              Printf.sprintf "%s %s %s %s" wname cname s.s_name
+                (stats_line (Cwsp_core.Api.stats w s cfg)))
+            golden_schemes)
+        golden_configs)
+    golden_workloads
+
+(* [sim_golden.txt] was recorded from the engine before the probe stream
+   split; any replay change that moves a bit of any field fails here.
+   Set CWSP_SIM_GOLDEN_OUT=<file> to write the current lines there. *)
+let test_stats_golden () =
+  let lines = golden_lines () in
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_bin path (fun oc ->
+          List.iter (fun l -> output_string oc (l ^ "\n")) lines))
+    (Sys.getenv_opt "CWSP_SIM_GOLDEN_OUT");
+  let expected =
+    Filename.concat (Filename.dirname Sys.executable_name) "sim_golden.txt"
+    |> fun path -> In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check int) "golden points" (List.length expected) (List.length lines);
+  List.iter2 (Alcotest.(check string) "stats") expected lines
+
+(* ---- probe streams ---- *)
+
+let registry_trace name cc =
+  Cwsp_core.Api.trace (Cwsp_workloads.Registry.find_exn name) cc
+
+let all_schemes = List.map (fun (s : Cwsp_schemes.Schemes.t) -> s.s_engine) golden_schemes
+
+(* Probe outcomes depend on the geometry only: a stream recorded on the
+   default platform replays bit-identically on the fig21/fig25/fig27
+   points (persist bandwidth, WPQ size, NVM technology) and with other
+   level names and hit latencies (Fig. 1's per-level latencies stay per
+   point), against a replay that records on the point itself. *)
+let test_stream_invariance () =
+  let tr = registry_trace "vacation" Cwsp_compiler.Pipeline.cwsp in
+  let p = Engine.record_probes Config.default tr in
+  let renamed =
+    List.map
+      (fun (l : Config.cache_level) -> { l with cname = l.cname ^ "'"; hit_ns = 1.5 *. l.hit_ns })
+      Config.default.levels
+  in
+  List.iter
+    (fun (what, cfg) ->
+      List.iter
+        (fun scheme ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s" what (Engine.scheme_name scheme))
+            (stats_line (Engine.run_trace cfg scheme tr))
+            (stats_line (Engine.replay cfg scheme tr p)))
+        all_schemes)
+    [
+      ("1GB/s", { Config.default with path_bandwidth_gbs = 1.0 });
+      ("WPQ-8", { Config.default with wpq_entries = 8 });
+      ("STT-RAM", { Config.default with mem = Nvm.sttram });
+      ("latencies", { Config.default with levels = renamed });
+    ]
+
+(* The memo key is the geometry: platforms differing in anything else
+   share one stream; ideal PSP's DRAM$-less hierarchy gets its own. *)
+let test_stream_memo_key () =
+  let w = Cwsp_workloads.Registry.find_exn "lu-ncg" in
+  let cc = Cwsp_compiler.Pipeline.cwsp in
+  let probes cfg = Cwsp_core.Api.probes w cc cfg in
+  let base = probes Config.default in
+  Alcotest.(check bool) "bandwidth + NVM share the stream" true
+    (base == probes { Config.default with path_bandwidth_gbs = 1.0; mem = Nvm.reram });
+  Alcotest.(check bool) "psp-ideal has its own" false
+    (base == probes (Cwsp_schemes.Schemes.psp_ideal.s_reconfig Config.default));
+  Alcotest.(check bool) "psp-ideal = no-DRAM$ platform" true
+    (probes Config.psp_no_dram_cache
+     == probes (Cwsp_schemes.Schemes.psp_ideal.s_reconfig Config.default))
+
+let test_stream_guards () =
+  let tr = registry_trace "lu-ncg" Cwsp_compiler.Pipeline.cwsp in
+  let other = registry_trace "lu-ncg" Cwsp_compiler.Pipeline.baseline in
+  let p = Engine.record_probes Config.default tr in
+  let raises what f =
+    Alcotest.(check bool) what true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  raises "other geometry" (fun () ->
+      Engine.replay Config.psp_no_dram_cache Engine.Baseline tr p);
+  raises "other trace length" (fun () ->
+      Engine.replay Config.default Engine.Baseline other p)
+
 let () =
   Alcotest.run "sim"
     [
@@ -329,5 +472,12 @@ let () =
           Alcotest.test_case "ido slower" `Quick test_ido_slower_than_cwsp;
           Alcotest.test_case "rbt storage = 176B" `Quick test_storage_bytes;
           Alcotest.test_case "deterministic" `Quick test_deterministic_replay;
+        ] );
+      ("golden", [ Alcotest.test_case "stats" `Quick test_stats_golden ]);
+      ( "probe stream",
+        [
+          Alcotest.test_case "geometry invariance" `Quick test_stream_invariance;
+          Alcotest.test_case "memo key" `Quick test_stream_memo_key;
+          Alcotest.test_case "guards" `Quick test_stream_guards;
         ] );
     ]
