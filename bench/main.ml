@@ -1,15 +1,13 @@
 (** The benchmark harness: regenerates every table and figure of the
-    paper's evaluation (Section IX) and runs Bechamel micro-benchmarks of
-    this repository's own machinery.
+    paper's evaluation (Section IX).
 
     Usage:
-      dune exec bench/main.exe                    # every figure + microbenches
+      dune exec bench/main.exe                    # every figure
       dune exec bench/main.exe -- list            # list experiment ids
       dune exec bench/main.exe -- fig13 hw        # selected experiments only
       dune exec bench/main.exe -- --jobs 4        # domain-parallel execution
       dune exec bench/main.exe -- json [id..]     # timed run -> BENCH_<run>.json
       dune exec bench/main.exe -- compare A B     # perf trajectory A -> B
-      dune exec bench/main.exe -- bechamel        # microbenches only
 
     [--jobs N] sets the executor's domain-pool width for every
     experiment plan (plan/execute/render split, DESIGN.md §5); the
@@ -26,63 +24,6 @@
     figure. *)
 
 open Cwsp_experiments
-
-(* ---- Bechamel micro-benchmarks of the infrastructure itself ---- *)
-
-let microbenches () =
-  let open Bechamel in
-  let open Toolkit in
-  let w = Cwsp_workloads.Registry.find_exn "sjeng" in
-  let prog = w.build ~scale:1 in
-  let compiled =
-    Cwsp_compiler.Pipeline.compile ~config:Cwsp_compiler.Pipeline.cwsp prog
-  in
-  let trace =
-    let _, t = Cwsp_interp.Machine.trace_of_program compiled.prog in
-    t
-  in
-  let tests =
-    [
-      Test.make ~name:"compile:cwsp-pipeline(sjeng)"
-        (Staged.stage (fun () ->
-             ignore
-               (Cwsp_compiler.Pipeline.compile
-                  ~config:Cwsp_compiler.Pipeline.cwsp prog)));
-      Test.make ~name:"interp:trace-generation(sjeng)"
-        (Staged.stage (fun () ->
-             ignore (Cwsp_interp.Machine.trace_of_program compiled.prog)));
-      Test.make ~name:"engine:replay-cwsp(sjeng)"
-        (Staged.stage (fun () ->
-             ignore
-               (Cwsp_sim.Engine.run_trace Cwsp_sim.Config.default
-                  (Cwsp_sim.Engine.Cwsp Cwsp_sim.Engine.cwsp_full)
-                  trace)));
-      Test.make ~name:"engine:replay-baseline(sjeng)"
-        (Staged.stage (fun () ->
-             ignore
-               (Cwsp_sim.Engine.run_trace Cwsp_sim.Config.default
-                  Cwsp_sim.Engine.Baseline trace)));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 1.0) () in
-  Printf.printf "\nBechamel micro-benchmarks (per-call wall time)\n";
-  Printf.printf "----------------------------------------------\n";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ Instance.monotonic_clock ] test in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~r_square:false ~bootstrap:0
-             ~predictors:[| Measure.run |])
-          Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ ns ] -> Printf.printf "%-36s %12.0f ns\n" name ns
-          | _ -> Printf.printf "%-36s (no estimate)\n" name)
-        ols)
-    tests
 
 (* ---- machine-readable timing runs ---- *)
 
@@ -399,17 +340,13 @@ let () =
   Cwsp_core.Executor.set_default_jobs !jobs;
   Cwsp_obs.Obs.configure ?trace:!trace ?metrics:!metrics ();
   (match args with
-  | [] ->
-    Index.run_all ();
-    microbenches ()
+  | [] -> Index.run_all ()
   | [ "list" ] ->
     List.iter (fun (e : Index.entry) -> Printf.printf "%-10s %s\n" e.id e.etitle)
       Index.all;
-    print_endline "bechamel   Bechamel micro-benchmarks";
     print_endline "json       timed full run -> BENCH_<run>.json";
     print_endline "compare    delta table of two BENCH json files";
     print_endline "history    trajectory table over all BENCH_*.json"
-  | [ "bechamel" ] -> microbenches ()
   | "json" :: ids -> json_run ~jobs:!jobs ~ids ()
   | [ "history" ] ->
     history ();
@@ -423,13 +360,11 @@ let () =
   | ids ->
     List.iter
       (fun id ->
-        if id = "bechamel" then microbenches ()
-        else
-          match Index.find id with
-          | Some e -> ignore (Index.run_one e)
-          | None ->
-            Printf.eprintf "unknown experiment %S (try 'list')\n" id;
-            exit 1)
+        match Index.find id with
+        | Some e -> ignore (Index.run_one e)
+        | None ->
+          Printf.eprintf "unknown experiment %S (try 'list')\n" id;
+          exit 1)
       ids);
   print_cache_summary ();
   Cwsp_obs.Obs.finalize ()

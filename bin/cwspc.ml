@@ -124,7 +124,7 @@ let run_inner list workload input emit config persist_mode dump_ir report
           | 0 -> ()
           | points ->
             let _, tr = Cwsp_interp.Machine.trace_of_program compiled.prog in
-            let total = Cwsp_interp.Trace.length tr in
+            let total = Cwsp_ir.Trace.length tr in
             let ok = ref 0 in
             for i = 0 to points - 1 do
               let crash_at = 1 + (i * (max 1 (total - 2)) / points) in

@@ -102,7 +102,7 @@ let () =
   (* crash at EVERY instruction of a band covering several insertions,
      plus a coarse sweep over the whole execution *)
   let _, tr = Cwsp_interp.Machine.trace_of_program compiled.prog in
-  let total = Cwsp_interp.Trace.length tr in
+  let total = Cwsp_ir.Trace.length tr in
   let failures = ref 0 and runs = ref 0 in
   let try_crash crash_at seed =
     incr runs;

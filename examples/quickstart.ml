@@ -66,7 +66,7 @@ let () =
     (100.0 *. (Cwsp_sim.Stats.slowdown st_cwsp ~baseline:st_base -. 1.0));
 
   (* 4. cut power at a few points and check crash consistency *)
-  let total = Cwsp_interp.Trace.length tr_cwsp in
+  let total = Cwsp_ir.Trace.length tr_cwsp in
   let ok = ref 0 in
   let points = 20 in
   for i = 0 to points - 1 do

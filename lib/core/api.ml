@@ -18,6 +18,7 @@
     when stored, a probe stream is immutable, and a [Stats.t] is only
     mutated by the engine run that produces it. *)
 
+open Cwsp_ir
 open Cwsp_interp
 open Cwsp_compiler
 open Cwsp_sim
@@ -53,13 +54,11 @@ let compiled ?(scale = 1) (w : Defs.t) (cc : Pipeline.config) :
       Pipeline.compile ~config:cc (w.build ~scale))
 
 (** Functional commit trace of a workload under a compile configuration
-    (memoized). Runs the decoded core ([Cwsp_ir.Decode]); with
-    CWSP_ORACLE=1 the oracle cross-checks it against the reference
-    interpreter on every miss. *)
+    (memoized), produced by the interpreter ([Machine]). *)
 let trace ?(scale = 1) (w : Defs.t) (cc : Pipeline.config) : Trace.t =
   Store.memo trace_cache (binary_key ~scale w cc) (fun () ->
       let c = compiled ~scale w cc in
-      Oracle.trace_of_program ~label:w.name c.prog)
+      snd (Machine.trace_of_program c.prog))
 
 (* [tr] is the binary's trace, already looked up by the caller. *)
 let probes_of_trace ~scale w cc (cfg : Config.t) tr =

@@ -27,7 +27,7 @@ let plan () =
 
 let validate_workload ?(crashes = 12) (w : Defs.t) =
   let tr = Cwsp_core.Api.trace w Cwsp_compiler.Pipeline.cwsp in
-  let total = Cwsp_interp.Trace.length tr in
+  let total = Cwsp_ir.Trace.length tr in
   let ok = ref 0 and failed = ref 0 and restored = ref 0 in
   for i = 0 to crashes - 1 do
     let crash_at = 1 + (i * (total - 2) / crashes) in

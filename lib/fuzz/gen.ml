@@ -1,6 +1,6 @@
 (* Randomized well-formed program generator: the fuzzer's seed source,
-   shared with the test suites (test_fuzz: compiler oracles; test_decode:
-   decoded-core differential oracle; test_race: labelled SPMD seeds).
+   shared with the test suites (test_fuzz: compiler oracles; test_interp:
+   interpreter golden; test_race: labelled SPMD seeds).
    Emits nested loops, branches, random arithmetic DAGs, loads/stores
    with both provable and unprovable addresses (mixing Exact/Within/Any
    aliasing), calls into the runtime allocator, atomics and fences.
@@ -118,7 +118,7 @@ let gen_program seed : Prog.t =
 
 (* ---- SPMD generation ---- *)
 
-(* Random SPMD programs for the multi-thread differential oracle and as
+(* Random SPMD programs for the interpreter golden's SPMD runs and as
    a soundness hammer for the race tier: a [`Drf] seed mixes tid-striped
    private traffic, a spinlock-protected shared section and an atomic
    shared accumulator — all idioms [Cwsp_verify.Race_check] certifies —

@@ -8,11 +8,8 @@
 
 open Cwsp_ir
 
-(* The decoded fast path ([Cwsp_ir.Decode]) raises the very same
-   exception constructors, so callers and the differential oracle see
-   identical failures from either engine. *)
-exception Fuel_exhausted = Decode.Fuel_exhausted
-exception Trap = Decode.Trap
+exception Fuel_exhausted
+exception Trap of string
 
 (* ---- linking ---- *)
 
@@ -36,7 +33,7 @@ type linked = {
 (** Name of the output intrinsic: [call __out(v)] appends [v] to the
     machine's observable output vector. Used by tests to compare golden
     and post-recovery executions. *)
-let out_intrinsic = Decode.out_intrinsic
+let out_intrinsic = "__out"
 
 let link (p : Prog.t) : linked =
   let fidx = Hashtbl.create 16 in

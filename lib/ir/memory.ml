@@ -16,10 +16,10 @@ let page_bytes = page_words * 8
 let page_key a = a lsr 12
 let word_index a = (a land 4095) lsr 3
 
-(* [last_key]/[last_page] is a one-entry translation cache: the decoded
-   core and the interpreter both exhibit strong page locality, and going
-   through [Hashtbl] costs a hash plus (on the read path) an allocated
-   option per access. The hashtable stays the source of truth — the cache
+(* [last_key]/[last_page] is a one-entry translation cache: the
+   interpreter exhibits strong page locality, and going through
+   [Hashtbl] costs a hash plus (on the read path) an allocated option
+   per access. The hashtable stays the source of truth — the cache
    only ever aliases an array that is already installed in it. *)
 type t = {
   pages : (int, int array) Hashtbl.t;

@@ -24,27 +24,6 @@ let push t ev =
 let length t = t.len
 let get t i = t.events.(i)
 
-(** Wrap a buffer the producer already filled (takes ownership of
-    [events]); the decoded core appends into a local array with an
-    inlined bounds check and hands the result over wholesale. *)
-let of_array events ~len =
-  if len < 0 || len > Array.length events then
-    invalid_arg "Trace.of_array: bad length";
-  { events; len }
-
-(** Structural equality of two traces (same length, same packed events)
-    — the decoded-vs-reference oracle's trace check. Returns the index
-    of the first difference on failure. *)
-let first_diff a b =
-  if a.len <> b.len then Some (min a.len b.len)
-  else begin
-    let i = ref 0 in
-    while !i < a.len && a.events.(!i) = b.events.(!i) do incr i done;
-    if !i = a.len then None else Some !i
-  end
-
-let equal a b = first_diff a b = None
-
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.events.(i)

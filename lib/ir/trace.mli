@@ -13,15 +13,6 @@ val length : t -> int
 val get : t -> int -> int
 val iter : (int -> unit) -> t -> unit
 
-(** Wrap a caller-filled buffer (takes ownership of the array). *)
-val of_array : int array -> len:int -> t
-
-(** Index of the first differing event (or the shorter length when one
-    trace is a prefix of the other); [None] when identical. *)
-val first_diff : t -> t -> int option
-
-val equal : t -> t -> bool
-
 (** Aggregate counts used by workload metadata tests and region stats. *)
 type summary = {
   instructions : int;

@@ -28,6 +28,7 @@
     return addresses live in ordinary persistent memory on a real
     machine; our IR keeps them in interpreter frames). *)
 
+open Cwsp_ir
 open Cwsp_interp
 module Obs = Cwsp_obs.Obs
 module Recorder = Cwsp_flight.Recorder

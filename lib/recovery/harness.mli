@@ -13,6 +13,7 @@
     random per-MC FIFO suffix of that region's own stores, evaluates its
     recovery slice into a poisoned register file, and resumes. *)
 
+open Cwsp_ir
 open Cwsp_interp
 
 type region_record

@@ -21,6 +21,7 @@
     sync drain: data written by a thread's unpersisted regions postdates
     its last sync, so no other thread can have (race-freely) read it. *)
 
+open Cwsp_ir
 open Cwsp_interp
 
 type region_record = {

@@ -206,8 +206,8 @@ let geometry (cfg : Config.t) =
 
 (* Probes exactly where [replay] consumes codes: a load reads, a store or
    checkpoint writes, an atomic reads then writes. *)
-let record_probes (cfg : Config.t) (trace : Cwsp_interp.Trace.t) : probes =
-  let open Cwsp_interp in
+let record_probes (cfg : Config.t) (trace : Cwsp_ir.Trace.t) : probes =
+  let open Cwsp_ir in
   if !Obs.on then Obs.span_begin ~cat:"sim" "record-probes";
   let h = Hierarchy.create cfg in
   let codes = Buffer.create 4096 and evicts = ref [||] and n_evicts = ref 0 in
@@ -314,7 +314,7 @@ let persist_store t ~addr ~commit ~bytes ~logged ~use_redo ?(coalesce = false) (
   let buffer = if use_redo then t.redo else t.pb in
   pb_admit_send buffer ~ready:commit ~gap;
   let admit = Array.unsafe_get buffer.fs 1 and send = Array.unsafe_get buffer.fs 2 in
-  let line = Cwsp_interp.Layout.line_of_addr addr in
+  let line = Cwsp_ir.Layout.line_of_addr addr in
   let mc = Config.mc_of_line cfg line in
   let arrive = send +. cfg.path_latency_ns +. Array.unsafe_get t.numa_ns mc in
   let drain_service =
@@ -590,9 +590,9 @@ let emit_epoch t track =
   Obs.counter_event ~pid:track ~name:"wb_occupancy" ~ts_us
     [ ("entries", float_of_int (Tsq.occupancy t.wb ~now:t.c.now)) ]
 
-let replay (cfg : Config.t) (scheme : scheme) (trace : Cwsp_interp.Trace.t)
+let replay (cfg : Config.t) (scheme : scheme) (trace : Cwsp_ir.Trace.t)
     (p : probes) : Stats.t =
-  let open Cwsp_interp in
+  let open Cwsp_ir in
   let n = Trace.length trace in
   if n <> p.p_events || geometry cfg <> p.p_geometry then
     invalid_arg "Engine.replay: probe stream of another trace or cache geometry";

@@ -103,13 +103,13 @@ type probes
 val geometry : Config.t -> (int * int) list
 
 (** Stage 1: walk the trace once through a fresh [Hierarchy]. *)
-val record_probes : Config.t -> Cwsp_interp.Trace.t -> probes
+val record_probes : Config.t -> Cwsp_ir.Trace.t -> probes
 
 (** Stage 2: time the trace under [scheme] on [cfg], reading cache
     outcomes from the stream. Hit latencies come from [cfg.levels].
     Raises [Invalid_argument] unless the stream was recorded from a
     trace of the same length under [geometry cfg]. *)
-val replay : Config.t -> scheme -> Cwsp_interp.Trace.t -> probes -> Stats.t
+val replay : Config.t -> scheme -> Cwsp_ir.Trace.t -> probes -> Stats.t
 
 (** [replay cfg scheme trace (record_probes cfg trace)]. *)
-val run_trace : Config.t -> scheme -> Cwsp_interp.Trace.t -> Stats.t
+val run_trace : Config.t -> scheme -> Cwsp_ir.Trace.t -> Stats.t

@@ -19,7 +19,7 @@
     (flat all-float record), cache results travel as packed ints, and
     the shared line-persist table is an [Imap]. *)
 
-open Cwsp_interp
+open Cwsp_ir
 
 (* Float.max for the NaN-free timestamp domain (ties keep [a]). *)
 let[@inline] fmax (a : float) (b : float) = if b > a then b else a

@@ -3,7 +3,7 @@
     global time order (the core with the smallest clock advances), so
     shared-queue contention is observed in arrival order. *)
 
-open Cwsp_interp
+open Cwsp_ir
 
 type result = {
   per_core : Stats.t array;

@@ -66,7 +66,7 @@ let test_fig19_shape () =
     List.map
       (fun n ->
         let tr = Cwsp_core.Api.trace (w n) Cwsp_compiler.Pipeline.cwsp in
-        let ls = Cwsp_interp.Trace.region_lengths tr in
+        let ls = Cwsp_ir.Trace.region_lengths tr in
         float_of_int (List.fold_left ( + ) 0 ls) /. float_of_int (List.length ls))
       [ "gobmk"; "lbm"; "radix"; "tatp" ]
   in

@@ -215,6 +215,184 @@ let test_store_hook_old_values () =
   Machine.run m hooks;
   Alcotest.(check (list int)) "old values observed" [ 5; 0 ] !olds
 
+(* ---- interpreter golden ---- *)
+
+(* Every observable of an interpreter run, one line per (run, thread):
+   how it ended, the commit trace (length + MD5 of the packed events),
+   the outputs, the step count and the final memory (nonzero words in
+   address order). Lines are recorded for failed runs too, so a trap or
+   fuel exhaustion must also happen at the same step with the same
+   partial state. *)
+let md5_ints n get =
+  let b = Bytes.create (8 * n) in
+  for i = 0 to n - 1 do
+    Bytes.set_int64_le b (8 * i) (Int64.of_int (get i))
+  done;
+  Digest.to_hex (Digest.bytes b)
+
+let memory_digest mem =
+  let words = ref [] in
+  Memory.iter (fun a v -> words := (a, v) :: !words) mem;
+  let words = Array.of_list (List.sort compare !words) in
+  md5_ints (2 * Array.length words) (fun i ->
+      let a, v = words.(i / 2) in
+      if i land 1 = 0 then a else v)
+
+let outcome run =
+  match run () with
+  | () -> "value"
+  | exception Machine.Trap msg -> "trap " ^ msg
+  | exception Machine.Fuel_exhausted -> "out-of-fuel"
+
+let golden_line label outcome (m : Machine.t) tr mem =
+  let outs = Array.of_list (Machine.outputs m) in
+  Printf.sprintf "%s | %s | events=%d:%s | outputs=%d:%s | steps=%d | mem=%s"
+    label outcome (Trace.length tr)
+    (md5_ints (Trace.length tr) (Trace.get tr))
+    (Array.length outs)
+    (md5_ints (Array.length outs) (Array.get outs))
+    (Machine.steps m) (memory_digest mem)
+
+let single_lines ?fuel label p =
+  let m = Machine.create (Machine.link p) in
+  let tr = Trace.create () in
+  let o =
+    outcome (fun () ->
+        Machine.run ?fuel m { Machine.no_hooks with on_event = Trace.push tr })
+  in
+  [ golden_line label o m tr m.mem ]
+
+let spmd_lines ?fuel label p ~threads ~worker =
+  let t = Multi.create (Machine.link p) ~threads ~worker in
+  let trs = Array.init threads (fun _ -> Trace.create ()) in
+  let o =
+    outcome (fun () ->
+        Multi.run ?fuel t (fun tid ->
+            { Machine.no_hooks with on_event = Trace.push trs.(tid) }))
+  in
+  List.init threads (fun tid ->
+      golden_line
+        (Printf.sprintf "%s t%d" label tid)
+        o t.machines.(tid) trs.(tid) t.mem)
+
+let golden_configs = Cwsp_compiler.Pipeline.[ baseline; cwsp ]
+
+let compile config p = (Cwsp_compiler.Pipeline.compile ~config p).prog
+let config_name = Cwsp_compiler.Pipeline.config_name
+
+(* The registry and the parallel workloads under both configurations,
+   then generated programs: single-threaded ones compiled both ways at a
+   2M-step budget, and raw SPMD ones (racy seeds included: whatever the
+   interleaving does, it must keep doing it). Each section's labels start
+   with its name, which is how the file is split back into sections. *)
+let registry_lines =
+  lazy
+    (List.concat_map
+       (fun (w : Cwsp_workloads.Defs.t) ->
+         List.concat_map
+           (fun config ->
+             single_lines
+               (Printf.sprintf "registry %s/%s" w.name (config_name config))
+               (compile config (w.build ~scale:1)))
+           golden_configs)
+       Cwsp_workloads.Registry.all)
+
+let parallel_lines =
+  lazy
+    (List.concat_map
+       (fun (w : Cwsp_workloads.W_parallel.t) ->
+         List.concat_map
+           (fun threads ->
+             List.concat_map
+               (fun config ->
+                 spmd_lines
+                   (Printf.sprintf "parallel %s@%d/%s" w.pname threads
+                      (config_name config))
+                   (compile config (w.pbuild ~scale:1 ~threads))
+                   ~threads ~worker:w.worker)
+               golden_configs)
+           [ 2; 4 ])
+       Cwsp_workloads.W_parallel.all)
+
+let fuzz_lines =
+  lazy
+    (List.concat_map
+       (fun seed ->
+         let p = Cwsp_fuzz.Gen.gen_program seed in
+         List.concat_map
+           (fun config ->
+             single_lines ~fuel:2_000_000
+               (Printf.sprintf "fuzz %d/%s" seed (config_name config))
+               (compile config p))
+           golden_configs)
+       (List.init 80 succ))
+
+let spmd_fuzz_lines =
+  lazy
+    (List.concat_map
+       (fun seed ->
+         let p, kind = Cwsp_fuzz.Gen.gen_spmd_program seed in
+         List.concat_map
+           (fun threads ->
+             spmd_lines ~fuel:2_000_000
+               (Printf.sprintf "spmd %d@%d/%s" seed threads
+                  (match kind with `Drf -> "drf" | `Racy -> "racy"))
+               p ~threads ~worker:"worker")
+           [ 2; 3 ])
+       (List.init 30 succ))
+
+let golden_sections =
+  [
+    ("registry", registry_lines);
+    ("parallel", parallel_lines);
+    ("fuzz", fuzz_lines);
+    ("spmd", spmd_fuzz_lines);
+  ]
+
+let section_of line = List.hd (String.split_on_char ' ' line)
+
+let golden_file =
+  lazy
+    (Filename.concat (Filename.dirname Sys.executable_name) "interp_golden.txt"
+    |> fun path -> In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> ""))
+
+(* The file was recorded while a second, decoded execution core still
+   agreed with [Machine] on every line, so each section is the
+   differential check against that reference, now frozen. Any change to
+   what [Machine]/[Multi] compute or emit fails here. *)
+let check_section name () =
+  let lines = Lazy.force (List.assoc name golden_sections) in
+  let expected =
+    List.filter (fun l -> section_of l = name) (Lazy.force golden_file)
+  in
+  Alcotest.(check int) (name ^ " runs") (List.length expected)
+    (List.length lines);
+  List.iter2 (Alcotest.(check string) "run") expected lines
+
+(* The file holds the four sections in order and nothing else. Set
+   CWSP_INTERP_GOLDEN_OUT=<file> to write the current lines there. *)
+let test_interp_golden () =
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_bin path (fun oc ->
+          List.iter
+            (fun (_, lines) ->
+              List.iter (fun l -> output_string oc (l ^ "\n")) (Lazy.force lines))
+            golden_sections))
+    (Sys.getenv_opt "CWSP_INTERP_GOLDEN_OUT");
+  let order =
+    List.fold_left
+      (fun acc l ->
+        match acc with
+        | s :: _ when s = section_of l -> acc
+        | _ -> section_of l :: acc)
+      [] (Lazy.force golden_file)
+  in
+  Alcotest.(check (list string)) "sections" (List.map fst golden_sections)
+    (List.rev order)
+
 let () =
   Alcotest.run "interp"
     [
@@ -240,5 +418,19 @@ let () =
         [
           Alcotest.test_case "summary" `Quick test_trace_summary;
           Alcotest.test_case "region lengths" `Quick test_region_lengths;
+        ] );
+      ("golden", [ Alcotest.test_case "interpreter runs" `Quick test_interp_golden ]);
+      ( "differential",
+        [
+          Alcotest.test_case "registry identity (all workloads x 2 configs)"
+            `Quick (check_section "registry");
+          Alcotest.test_case
+            "SPMD identity (all parallel workloads x 2 threads x 2 configs)"
+            `Quick (check_section "parallel");
+          Alcotest.test_case
+            "SPMD fuzz differential (30 programs x 2 thread counts)" `Quick
+            (check_section "spmd");
+          Alcotest.test_case "fuzz differential (80 programs x 2 configs)"
+            `Quick (check_section "fuzz");
         ] );
     ]

@@ -2,6 +2,7 @@
    exclusion, per-thread checkpoint isolation and the multi-core timing
    engine. *)
 
+open Cwsp_ir
 open Cwsp_interp
 open Cwsp_workloads
 

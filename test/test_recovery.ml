@@ -11,7 +11,7 @@ let compiled_of name =
 let sweep name ~points =
   let compiled = compiled_of name in
   let tr = Cwsp_core.Api.trace (Cwsp_workloads.Registry.find_exn name) Pipeline.cwsp in
-  let total = Cwsp_interp.Trace.length tr in
+  let total = Cwsp_ir.Trace.length tr in
   let failures = ref [] in
   for i = 0 to points - 1 do
     let crash_at = 1 + (i * (total - 2) / points) in
@@ -71,7 +71,7 @@ let test_corrupted_slice_detected () =
     }
   in
   let tr = Cwsp_core.Api.trace (Cwsp_workloads.Registry.find_exn "bzip2") Pipeline.cwsp in
-  let total = Cwsp_interp.Trace.length tr in
+  let total = Cwsp_ir.Trace.length tr in
   let detected = ref false in
   (try
      for i = 1 to 50 do
@@ -123,7 +123,7 @@ let test_io_exactly_once () =
   let prog = Cwsp_ir.Builder.finish b in
   let compiled = Pipeline.compile ~config:Pipeline.cwsp prog in
   let _, tr = Cwsp_interp.Machine.trace_of_program compiled.prog in
-  let total = Cwsp_interp.Trace.length tr in
+  let total = Cwsp_ir.Trace.length tr in
   (* crash at every instruction: the harness checks both NVM state and
      the exactly-once I/O property *)
   let failures = ref [] in
@@ -142,7 +142,7 @@ let test_io_exactly_once () =
 let test_double_crash () =
   let compiled = compiled_of "bzip2" in
   let tr = Cwsp_core.Api.trace (Cwsp_workloads.Registry.find_exn "bzip2") Pipeline.cwsp in
-  let total = Cwsp_interp.Trace.length tr in
+  let total = Cwsp_ir.Trace.length tr in
   for i = 0 to 19 do
     let c1 = 1 + (i * (total - 2) / 20) in
     (* second failure shortly after resumption — inside or just past the
@@ -177,20 +177,20 @@ let test_triple_crash () =
    revert restores the value the oldest unpersisted region must read. *)
 let test_mc_logs_fig10c () =
   let logs = Cwsp_recovery.Mc_logs.create ~n_mcs:2 in
-  let mem = Cwsp_interp.Memory.create () in
+  let mem = Cwsp_ir.Memory.create () in
   let addr = 0x2000 in
   (* Rg0 (non-speculative) wrote 100 earlier; NVM holds it *)
-  Cwsp_interp.Memory.write mem addr 100;
+  Cwsp_ir.Memory.write mem addr 100;
   (* speculative Rg1 stores 200 (logs old=100), Rg2 stores 300 (logs old=200) *)
   Cwsp_recovery.Mc_logs.log logs ~region:1 ~addr ~old:100 ~value:200;
-  Cwsp_interp.Memory.write mem addr 200;
+  Cwsp_ir.Memory.write mem addr 200;
   Cwsp_recovery.Mc_logs.log logs ~region:2 ~addr ~old:200 ~value:300;
-  Cwsp_interp.Memory.write mem addr 300;
+  Cwsp_ir.Memory.write mem addr 300;
   (* power failure while Rg0 is the oldest unpersisted region *)
   Cwsp_recovery.Mc_logs.revert_speculative logs ~oldest_unpersisted:0
-    ~apply:(fun a old -> Cwsp_interp.Memory.write mem a old);
+    ~apply:(fun a old -> Cwsp_ir.Memory.write mem a old);
   Alcotest.(check int) "ld in Rg0 re-reads 100, not 200" 100
-    (Cwsp_interp.Memory.read mem addr)
+    (Cwsp_ir.Memory.read mem addr)
 
 let test_mc_logs_deallocate () =
   let logs = Cwsp_recovery.Mc_logs.create ~n_mcs:2 in
@@ -206,17 +206,17 @@ let test_mc_logs_deallocate () =
 
 let test_mc_logs_revert_excludes_oldest () =
   let logs = Cwsp_recovery.Mc_logs.create ~n_mcs:2 in
-  let mem = Cwsp_interp.Memory.create () in
-  Cwsp_interp.Memory.write mem 0x100 77 (* R_o's own speculative write *);
+  let mem = Cwsp_ir.Memory.create () in
+  Cwsp_ir.Memory.write mem 0x100 77 (* R_o's own speculative write *);
   Cwsp_recovery.Mc_logs.log logs ~region:3 ~addr:0x100 ~old:7 ~value:77;
-  Cwsp_interp.Memory.write mem 0x200 88;
+  Cwsp_ir.Memory.write mem 0x200 88;
   Cwsp_recovery.Mc_logs.log logs ~region:4 ~addr:0x200 ~old:8 ~value:88;
   Cwsp_recovery.Mc_logs.revert_speculative logs ~oldest_unpersisted:3
-    ~apply:(fun a old -> Cwsp_interp.Memory.write mem a old);
+    ~apply:(fun a old -> Cwsp_ir.Memory.write mem a old);
   Alcotest.(check int) "R_o's data store kept (idempotence handles it)" 77
-    (Cwsp_interp.Memory.read mem 0x100);
+    (Cwsp_ir.Memory.read mem 0x100);
   Alcotest.(check int) "younger region reverted" 8
-    (Cwsp_interp.Memory.read mem 0x200)
+    (Cwsp_ir.Memory.read mem 0x200)
 
 (* REGRESSION: the recovery-point draw used to be bounded by the window
    instead of the tracked-region count. Right after a boundary step the

@@ -206,7 +206,7 @@ let test_lifted_entry_regions_and_recovery () =
   Alcotest.(check (list string)) "no antidependences" []
     (List.map Cwsp_idem.Antidep.pair_to_string (Cwsp_idem.Antidep.violations fn));
   let _, tr = Machine.trace_of_program compiled.prog in
-  let total = Cwsp_interp.Trace.length tr in
+  let total = Cwsp_ir.Trace.length tr in
   for i = 0 to 29 do
     let crash_at = 1 + (i * (total - 2) / 30) in
     match Cwsp_recovery.Harness.validate ~seed:i ~crash_at compiled with

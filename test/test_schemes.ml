@@ -82,8 +82,8 @@ let test_scheme_binaries_differ () =
   (* cwsp strips checkpoints relative to no-prune *)
   let tr_full = Cwsp_core.Api.trace (w "radix") Cwsp_compiler.Pipeline.cwsp in
   let tr_nop = Cwsp_core.Api.trace (w "radix") Cwsp_compiler.Pipeline.cwsp_no_prune in
-  let s_full = Cwsp_interp.Trace.summarize tr_full in
-  let s_nop = Cwsp_interp.Trace.summarize tr_nop in
+  let s_full = Cwsp_ir.Trace.summarize tr_full in
+  let s_nop = Cwsp_ir.Trace.summarize tr_nop in
   Alcotest.(check bool) "pruning removed dynamic ckpts" true
     (s_full.ckpts < s_nop.ckpts);
   Alcotest.(check int) "same stores" s_nop.stores s_full.stores

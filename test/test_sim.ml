@@ -2,7 +2,7 @@
    and engine-level monotonicity properties. *)
 
 open Cwsp_sim
-open Cwsp_interp
+open Cwsp_ir
 
 let qtest = QCheck_alcotest.to_alcotest
 
